@@ -305,6 +305,9 @@ impl MetricsRegistry {
         c(self, "edges_local", s.edges_local);
         c(self, "edges_remote", s.edges_remote);
         c(self, "edge_cells_packed", s.edge_cells_packed);
+        c(self, "tiles_interior", s.tiles_interior);
+        c(self, "edges_box_packed", s.edges_box_packed);
+        c(self, "edges_box_unpacked", s.edges_box_unpacked);
         c(self, "steal_count", s.steal_count);
         c(self, "steal_fail_count", s.steal_fail_count);
         c(self, "tiles_static", s.tiles_static);
@@ -449,6 +452,9 @@ mod tests {
         let s = RunStats {
             tiles_executed: 10,
             cells_computed: 100,
+            tiles_interior: 7,
+            edges_box_packed: 9,
+            edges_box_unpacked: 8,
             tiles_per_worker: vec![6, 4],
             threads: 2,
             total_time: std::time::Duration::from_millis(10),
@@ -458,6 +464,9 @@ mod tests {
         r.record_run_stats("rank0.", &s);
         assert_eq!(r.counter("rank0.tiles_executed"), Some(10));
         assert_eq!(r.counter("rank0.worker1.tiles"), Some(4));
+        assert_eq!(r.counter("rank0.tiles_interior"), Some(7));
+        assert_eq!(r.counter("rank0.edges_box_packed"), Some(9));
+        assert_eq!(r.counter("rank0.edges_box_unpacked"), Some(8));
         assert!(r.gauge("rank0.total_time_s").unwrap() > 0.0);
         // Totals accumulate across ranks.
         r.record_run_stats("total.", &s);

@@ -15,7 +15,11 @@
 //! edge payload vectors (presized from [`EdgeLayout::max_cells`] so pushes
 //! never reallocate). Tiles are scanned with
 //! [`Tiling::scan_tile_fast`], which hoists the per-cell validity checks
-//! out of contiguous interior runs.
+//! out of contiguous interior runs and walks interior tiles as fixed rows.
+//! Edges of full tiles ([`Tiling::tile_is_full`]) are packed and unpacked
+//! by strided box walks ([`EdgeLayout::pack_box`]) instead of their loop
+//! nests; producer and consumer pick the path by the same predicate on the
+//! source tile.
 //!
 //! Failures are typed, not fatal ([`RunError`]): the kernel runs under
 //! `catch_unwind` so a panicking tile quarantines its coordinate instead of
@@ -28,6 +32,8 @@
 //! [`NodeConfig::cancel`] flag was provided, sibling ranks are told to stop.
 //!
 //! [`EdgeLayout::max_cells`]: dpgen_tiling::EdgeLayout::max_cells
+//! [`EdgeLayout::pack_box`]: dpgen_tiling::EdgeLayout::pack_box
+//! [`Tiling::tile_is_full`]: dpgen_tiling::Tiling::tile_is_full
 //! [`Tiling::scan_tile_fast`]: dpgen_tiling::Tiling::scan_tile_fast
 
 use crate::checkpoint::NodeRecovery;
@@ -252,6 +258,10 @@ pub(crate) fn probe_map(
 /// the cap only guards against pathological dependency counts.
 const MAX_RECYCLED_PAYLOADS: usize = 32;
 
+/// Payload vectors a worker parks into, and seeds from, a cross-run
+/// [`BufferRecycler`].
+const SEEDED_PAYLOADS: usize = MAX_RECYCLED_PAYLOADS / 4;
+
 /// Per-worker buffer pool for the tile execution hot path.
 ///
 /// Holds at most one tile value buffer (a worker executes one tile at a
@@ -274,33 +284,33 @@ impl<T: Value> TileBufferPool<T> {
         }
     }
 
-    /// A pool seeded from a cross-run [`BufferRecycler`]: one candidate
-    /// tile buffer plus a payload free list, all parked cleared by a
-    /// previous run of the same plan. A seeded buffer whose length does
-    /// not match this run's tile layout is simply never reused by
-    /// [`TileBufferPool::acquire`].
-    pub(crate) fn seeded(recycler: &BufferRecycler) -> TileBufferPool<T> {
-        let mut buffer = None;
-        let mut payloads = Vec::new();
-        for mut b in recycler.checkout::<T>(1 + MAX_RECYCLED_PAYLOADS / 4) {
-            if buffer.is_none() && !b.is_empty() {
-                // A parked tile buffer: full-length, all-default. Payload
-                // vectors are parked empty, so length tells them apart.
-                buffer = Some(b);
-            } else {
-                b.clear();
-                payloads.push(b);
-            }
+    /// A pool seeded from a cross-run [`BufferRecycler`]: the tile buffer
+    /// of this run's layout (`tile_size` cells) plus up to
+    /// [`SEEDED_PAYLOADS`] payload vectors, all parked cleared by a
+    /// previous run of the same plan.
+    ///
+    /// The tile buffer is checked out first and by length, never crowded
+    /// out by payloads: a worker that missed it would allocate a fresh one
+    /// and park it too, growing the stash by a tile buffer per run.
+    pub(crate) fn seeded(recycler: &BufferRecycler, tile_size: usize) -> TileBufferPool<T> {
+        TileBufferPool {
+            buffer: recycler.checkout::<T>(1, |b| b.len() == tile_size).pop(),
+            payloads: recycler.checkout::<T>(SEEDED_PAYLOADS, |b| b.is_empty()),
         }
-        TileBufferPool { buffer, payloads }
     }
 
     /// Park this pool's buffers into a cross-run [`BufferRecycler`]. Only
     /// cleared buffers ever live in the pool (see
     /// [`TileBufferPool::release`] / [`TileBufferPool::recycle_payload`]),
-    /// so everything parked is safe to seed a future run with.
+    /// so everything parked is safe to seed a future run with. At most
+    /// [`SEEDED_PAYLOADS`] payloads are parked (the largest), as many as a
+    /// seeded pool takes back, so re-executions leave the stash no larger
+    /// than they found it.
     pub(crate) fn park_into(&mut self, recycler: &BufferRecycler) {
         recycler.park(self.buffer.take());
+        self.payloads
+            .sort_unstable_by_key(|p| std::cmp::Reverse(p.capacity()));
+        self.payloads.truncate(SEEDED_PAYLOADS);
         recycler.park(std::mem::take(&mut self.payloads));
     }
 
@@ -735,6 +745,9 @@ where
     let edges_local = AtomicU64::new(0);
     let edges_remote = AtomicU64::new(0);
     let edge_cells = AtomicU64::new(0);
+    let tiles_interior = AtomicU64::new(0);
+    let edges_box_packed = AtomicU64::new(0);
+    let edges_box_unpacked = AtomicU64::new(0);
     let idle_ns = AtomicU64::new(0);
     let tiles_per_worker: Vec<AtomicU64> = (0..threads).map(|_| AtomicU64::new(0)).collect();
 
@@ -804,6 +817,9 @@ where
             let edges_local = &edges_local;
             let edges_remote = &edges_remote;
             let edge_cells = &edge_cells;
+            let tiles_interior = &tiles_interior;
+            let edges_box_packed = &edges_box_packed;
+            let edges_box_unpacked = &edges_box_unpacked;
             let idle_ns = &idle_ns;
             let tiles_per_worker = &tiles_per_worker;
             let mem = &mem;
@@ -817,7 +833,7 @@ where
             scope.spawn(move || {
                 let mut point = tiling.make_point(params);
                 let mut pool: TileBufferPool<T> = match &config.recycler {
-                    Some(r) => TileBufferPool::seeded(r),
+                    Some(r) => TileBufferPool::seeded(r, layout.size()),
                     None => TileBufferPool::new(),
                 };
                 // Take the head of worker `ow`'s static sequence if it is
@@ -1063,19 +1079,32 @@ where
                                 })));
                             };
                             let src = tile.add(&delta);
-                            tiling.set_tile(&src, &mut point);
-                            let mut k = 0usize;
                             let plen = payload.len();
-                            edge.for_each_cell(&mut point, |j| {
-                                if k < plen {
-                                    let loc = layout.loc_ghost(j, &delta);
-                                    values[loc] = payload[k];
-                                    written_lo = written_lo.min(loc);
-                                    written_hi = written_hi.max(loc);
+                            // A full source packed its edge box whole (step
+                            // 4): scatter it back by the same walk.
+                            let k = if tiling.tile_is_full(&src, &mut point) {
+                                let k = edge.box_cells();
+                                if k == plen {
+                                    let (lo, hi) = edge.unpack_box(layout, &payload, &mut values);
+                                    written_lo = written_lo.min(lo);
+                                    written_hi = written_hi.max(hi);
+                                    edges_box_unpacked.fetch_add(1, Ordering::Relaxed);
                                 }
-                                k += 1;
-                            })
-                            .expect("edge unpack scan failed");
+                                k
+                            } else {
+                                let mut k = 0usize;
+                                edge.for_each_cell(&mut point, |j| {
+                                    if k < plen {
+                                        let loc = layout.loc_ghost(j, &delta);
+                                        values[loc] = payload[k];
+                                        written_lo = written_lo.min(loc);
+                                        written_hi = written_hi.max(loc);
+                                    }
+                                    k += 1;
+                                })
+                                .expect("edge unpack scan failed");
+                                k
+                            };
                             if k != plen {
                                 break 'tile Err(RunError::BadEdge(Box::new(EdgeFault {
                                     rank: config.rank,
@@ -1173,18 +1202,26 @@ where
                         // --- Step 4: pack each valid outgoing edge. Local
                         // edges accumulate into one batch delivered below;
                         // remote edges go straight to the transport.
+                        // A full tile's edges are whole boxes: gathered by
+                        // a strided walk instead of the edge nests.
+                        let full = tiling.tile_is_full(&tile, &mut point);
                         for (dep_idx, dep) in tiling.deps().iter().enumerate() {
                             let consumer = tile.sub(&dep.delta);
                             if !tiling.tile_in_space(&consumer, &mut point) {
                                 continue;
                             }
                             let edge = &tiling.edges()[dep_idx];
-                            tiling.set_tile(&tile, &mut point);
                             let mut payload = pool.take_payload(edge.max_cells(), mem);
-                            edge.for_each_cell(&mut point, |j| {
-                                payload.push(values[layout.loc(j)]);
-                            })
-                            .expect("edge pack scan failed");
+                            if full {
+                                edge.pack_box(layout, &values, &mut payload);
+                                edges_box_packed.fetch_add(1, Ordering::Relaxed);
+                            } else {
+                                tiling.set_tile(&tile, &mut point);
+                                edge.for_each_cell(&mut point, |j| {
+                                    payload.push(values[layout.loc(j)]);
+                                })
+                                .expect("edge pack scan failed");
+                            }
                             edge_cells.fetch_add(payload.len() as u64, Ordering::Relaxed);
                             if let Some(t) = tracer {
                                 t.record(
@@ -1264,6 +1301,9 @@ where
                     cells.fetch_add(counts.total(), Ordering::Relaxed);
                     interior.fetch_add(counts.interior_cells, Ordering::Relaxed);
                     boundary.fetch_add(counts.boundary_cells, Ordering::Relaxed);
+                    if counts.interior_tile {
+                        tiles_interior.fetch_add(1, Ordering::Relaxed);
+                    }
                     if config.batched {
                         runs_batched.fetch_add(counts.interior_runs, Ordering::Relaxed);
                         cells_batched.fetch_add(counts.interior_cells, Ordering::Relaxed);
@@ -1376,6 +1416,9 @@ where
         edges_local: edges_local.load(Ordering::Relaxed),
         edges_remote: edges_remote.load(Ordering::Relaxed),
         edge_cells_packed: edge_cells.load(Ordering::Relaxed),
+        tiles_interior: tiles_interior.load(Ordering::Relaxed),
+        edges_box_packed: edges_box_packed.load(Ordering::Relaxed),
+        edges_box_unpacked: edges_box_unpacked.load(Ordering::Relaxed),
         init_time,
         total_time: t_start.elapsed(),
         idle_time: Duration::from_nanos(idle_ns.load(Ordering::Relaxed)),

@@ -64,9 +64,14 @@ impl BufferRecycler {
         }
     }
 
-    /// Take up to `max` stashed `Vec<T>` buffers. Entries of a different
-    /// element type are left in place.
-    pub fn checkout<T: Send + 'static>(&self, max: usize) -> Vec<Vec<T>> {
+    /// Take up to `max` stashed `Vec<T>` buffers that satisfy `keep`.
+    /// Entries of a different element type, or that `keep` rejects, are
+    /// left in place.
+    pub fn checkout<T: Send + 'static>(
+        &self,
+        max: usize,
+        keep: impl Fn(&Vec<T>) -> bool,
+    ) -> Vec<Vec<T>> {
         let mut out = Vec::new();
         if max == 0 {
             return out;
@@ -74,11 +79,11 @@ impl BufferRecycler {
         let mut stash = self.stash.lock();
         let mut i = 0;
         while i < stash.len() && out.len() < max {
-            if stash[i].is::<Vec<T>>() {
+            if stash[i].downcast_ref::<Vec<T>>().is_some_and(&keep) {
                 let boxed = stash.swap_remove(i);
                 match boxed.downcast::<Vec<T>>() {
                     Ok(v) => out.push(*v),
-                    Err(_) => unreachable!("checked by Any::is"),
+                    Err(_) => unreachable!("checked by downcast_ref"),
                 }
             } else {
                 i += 1;
@@ -134,14 +139,31 @@ mod tests {
         r.park(vec![vec![1.5f64; 4]]);
         assert_eq!(r.stashed(), 3);
         // A u64 checkout skips the f64 entry.
-        let got = r.checkout::<u64>(10);
+        let got = r.checkout::<u64>(10, |_| true);
         assert_eq!(got.len(), 2);
         assert_eq!(r.stashed(), 1);
-        let floats = r.checkout::<f64>(10);
+        let floats = r.checkout::<f64>(10, |_| true);
         assert_eq!(floats.len(), 1);
         assert_eq!(floats[0].len(), 4);
         assert_eq!(r.reused(), 3);
         assert_eq!(r.parked(), 3);
+    }
+
+    #[test]
+    fn checkout_filters_by_predicate() {
+        let r = BufferRecycler::new(8);
+        r.park(vec![
+            Vec::<u64>::with_capacity(4),
+            vec![0u64; 16],
+            Vec::with_capacity(4),
+        ]);
+        // The full-length buffer is found behind the empty ones.
+        let big = r.checkout::<u64>(1, |b| b.len() == 16);
+        assert_eq!(big.len(), 1);
+        assert_eq!(big[0].len(), 16);
+        assert!(r.checkout::<u64>(1, |b| b.len() == 16).is_empty());
+        assert_eq!(r.checkout::<u64>(8, |b| b.is_empty()).len(), 2);
+        assert_eq!(r.stashed(), 0);
     }
 
     #[test]

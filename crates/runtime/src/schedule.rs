@@ -139,11 +139,11 @@ impl StaticPlan {
             Schedule::Dynamic => return None,
             Schedule::Static => owned.to_vec(),
             Schedule::Mixed => {
-                // Corner containment test (constant work per tile) instead
-                // of the exact Ehrhart count: building the plan is on the
-                // run's critical path and charged to init_time, and the
-                // per-tile count made Mixed measurably slower than Static
-                // on all-interior spaces.
+                // The tile-space fullness test (one affine evaluation per
+                // row) instead of the exact Ehrhart count: building the
+                // plan is on the run's critical path and charged to
+                // init_time, and the per-tile count made Mixed measurably
+                // slower than Static on all-interior spaces.
                 owned
                     .iter()
                     .filter(|t| tiling.tile_is_full(t, point))

@@ -50,6 +50,15 @@ pub struct RunStats {
     pub edges_remote: u64,
     /// Total edge cells packed (local + remote).
     pub edge_cells_packed: u64,
+    /// Tiles scanned as interior: full, every read valid, walked as fixed
+    /// rows with no polyhedral evaluation (see `Tiling::scan_tile_runs`).
+    pub tiles_interior: u64,
+    /// Edges packed from a full tile by a strided walk of the edge box
+    /// (`EdgeLayout::pack_box`) instead of the edge loop nest.
+    pub edges_box_packed: u64,
+    /// Edges from a full source tile unpacked by the same box walk
+    /// (`EdgeLayout::unpack_box`).
+    pub edges_box_unpacked: u64,
     /// Wall time spent discovering initial tiles (Section IV-K measures
     /// this as < 0.5% of total run time).
     pub init_time: Duration,

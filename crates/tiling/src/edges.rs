@@ -14,8 +14,9 @@
 //! a slight over-approximation (hull instead of union) that only ever packs
 //! extra cells, never misses one.
 
-use crate::coord::Coord;
+use crate::coord::{Coord, MAX_DIMS};
 use crate::deps::TileDep;
+use crate::layout::TileLayout;
 use crate::template::TemplateSet;
 use dpgen_polyhedra::{Constraint, ConstraintSystem, LinExpr, LoopNest, PolyError};
 
@@ -34,6 +35,8 @@ pub struct EdgeLayout {
     /// Extended-space columns of the local indices, in problem-dimension
     /// order (needed to read the scanned coordinates out of the point).
     i_cols: Vec<usize>,
+    /// The nest's loop order as problem dimensions, outermost first.
+    order: Vec<usize>,
     /// Banded payload extents: `(a, b, band_width)` when the iteration space
     /// is a diagonal band over dimensions `(a, b)`. The scan nest already
     /// clips to the band (it carries the band constraints); this tightens
@@ -54,7 +57,7 @@ impl EdgeLayout {
         mut f: F,
     ) -> Result<(), PolyError> {
         let i_cols = &self.i_cols;
-        let mut local = [0i64; crate::coord::MAX_DIMS];
+        let mut local = [0i64; MAX_DIMS];
         let d = i_cols.len();
         self.nest.for_each_point(point, |p| {
             for k in 0..d {
@@ -100,6 +103,107 @@ impl EdgeLayout {
     pub fn nest(&self) -> &LoopNest {
         &self.nest
     }
+
+    /// Number of cells in the edge box: the payload length of every *full*
+    /// source tile's instance of this edge.
+    pub fn box_cells(&self) -> usize {
+        (0..self.box_lo.len())
+            .map(|k| (self.box_hi[k] - self.box_lo[k] + 1).max(0) as usize)
+            .product()
+    }
+
+    /// Gather this edge of a *full* source tile (`Tiling::tile_is_full`)
+    /// from its buffer `values` onto `payload`, in the order
+    /// [`EdgeLayout::for_each_cell`] visits it.
+    ///
+    /// For a full source the nest's region, the local space intersected
+    /// with the box, is the box itself; the nest walks it ascending in
+    /// loop order, and so does this strided walk, with no bound
+    /// evaluation.
+    pub fn pack_box<T: Copy>(&self, layout: &TileLayout, values: &[T], payload: &mut Vec<T>) {
+        let (len, stride) = self.box_row(layout);
+        self.for_each_box_row(layout, |loc| {
+            if stride == 1 {
+                payload.extend_from_slice(&values[loc..loc + len]);
+            } else {
+                payload.extend((0..len).map(|i| values[loc + i * stride]));
+            }
+        });
+    }
+
+    /// Scatter a *full* source tile's payload into the destination tile's
+    /// ghost cells (`values`), the inverse of [`EdgeLayout::pack_box`]:
+    /// each cell lands at [`TileLayout::loc_ghost`] of its source-local
+    /// coordinate. The payload must hold exactly
+    /// [`EdgeLayout::box_cells`] values. Returns the lowest and highest
+    /// buffer index written.
+    pub fn unpack_box<T: Copy>(
+        &self,
+        layout: &TileLayout,
+        payload: &[T],
+        values: &mut [T],
+    ) -> (usize, usize) {
+        assert_eq!(payload.len(), self.box_cells(), "edge payload length");
+        let (len, stride) = self.box_row(layout);
+        // `loc` is affine in the coordinates, so the ghost mapping is one
+        // constant shift of the source-local index.
+        let lo = layout.loc_ghost(&self.box_lo, &self.delta);
+        let shift = lo as i64 - layout.loc(&self.box_lo) as i64;
+        let mut k = 0;
+        self.for_each_box_row(layout, |loc| {
+            let dst = (loc as i64 + shift) as usize;
+            let src = &payload[k..k + len];
+            if stride == 1 {
+                values[dst..dst + len].copy_from_slice(src);
+            } else {
+                for (i, &v) in src.iter().enumerate() {
+                    values[dst + i * stride] = v;
+                }
+            }
+            k += len;
+        });
+        (lo, layout.loc_ghost(&self.box_hi, &self.delta))
+    }
+
+    /// Length and buffer stride of one innermost row of the edge box.
+    fn box_row(&self, layout: &TileLayout) -> (usize, usize) {
+        let inner = *self.order.last().expect("edge layouts have >= 1 dim");
+        let len = (self.box_hi[inner] - self.box_lo[inner] + 1).max(0) as usize;
+        (len, layout.strides()[inner] as usize)
+    }
+
+    /// Call `f` with the buffer index of the first cell of every innermost
+    /// row of the edge box, in pack/unpack order (ascending, loop order
+    /// outermost first).
+    fn for_each_box_row<F: FnMut(usize)>(&self, layout: &TileLayout, mut f: F) {
+        if self.box_cells() == 0 {
+            return;
+        }
+        let strides = layout.strides();
+        let outer = &self.order[..self.order.len() - 1];
+        let mut at = [0i64; MAX_DIMS];
+        let mut loc = layout.loc(&self.box_lo);
+        loop {
+            f(loc);
+            // Odometer over the outer levels, innermost first.
+            let mut lvl = outer.len();
+            loop {
+                if lvl == 0 {
+                    return;
+                }
+                lvl -= 1;
+                let k = outer[lvl];
+                let extent = self.box_hi[k] - self.box_lo[k];
+                if at[lvl] < extent {
+                    at[lvl] += 1;
+                    loc += strides[k] as usize;
+                    break;
+                }
+                at[lvl] = 0;
+                loc -= (strides[k] * extent) as usize;
+            }
+        }
+    }
 }
 
 /// Per-dimension source-local read interval of template `r` across tile
@@ -131,6 +235,15 @@ pub fn build_edge_layouts(
 ) -> Result<Vec<EdgeLayout>, PolyError> {
     let d = widths.len();
     let dim = local_system.space().dim();
+    let order: Vec<usize> = i_order
+        .iter()
+        .map(|c| {
+            i_cols
+                .iter()
+                .position(|k| k == c)
+                .expect("loop order over local columns")
+        })
+        .collect();
     let mut out = Vec::with_capacity(deps.len());
     for dep in deps {
         let mut box_lo = vec![i64::MAX; d];
@@ -166,6 +279,7 @@ pub fn build_edge_layouts(
             box_hi,
             nest,
             i_cols: i_cols.to_vec(),
+            order: order.clone(),
             band,
         });
     }

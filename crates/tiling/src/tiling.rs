@@ -302,6 +302,34 @@ impl<F: FnMut(CellRef<'_>)> TileVisitor for EachCell<F> {
     }
 }
 
+/// A conjunction of half-spaces over the tile indices and parameters alone
+/// (every local-index coefficient is zero): a property of a whole tile
+/// decided by one affine evaluation per row, with no loop over its cells.
+#[derive(Debug, Clone)]
+struct TileTest {
+    rows: Vec<LinExpr>,
+}
+
+impl TileTest {
+    /// Keep only the rows that can fail: a row with no variable term and a
+    /// non-negative constant holds for every tile.
+    fn new(rows: impl IntoIterator<Item = LinExpr>) -> TileTest {
+        TileTest {
+            rows: rows
+                .into_iter()
+                .filter(|r| !(r.is_constant() && r.constant_term() >= 0))
+                .collect(),
+        }
+    }
+
+    /// Does every row hold at `point` (tile columns and parameters set)?
+    fn holds(&self, point: &[i128]) -> bool {
+        self.rows
+            .iter()
+            .all(|r| r.eval(point).expect("tile test evaluation failed") >= 0)
+    }
+}
+
 /// Everything derived from one problem description: iteration spaces, tile
 /// space, dependencies, validity/mapping functions and edge layouts.
 #[derive(Debug, Clone)]
@@ -333,6 +361,15 @@ pub struct Tiling {
     /// The band's dimension pair `(a, b)` (`lo <= x_a - x_b <= hi`);
     /// `None` for dense tilings.
     band_dims: Option<(usize, usize)>,
+    /// Tile-space test: the whole `w_1 × … × w_d` box lies in the
+    /// iteration space ([`Tiling::tile_is_full`]).
+    full: TileTest,
+    /// Tile-space test: every validity check holds in every cell of the
+    /// box; with `full`, the tile is interior ([`Tiling::scan_tile_runs`]).
+    reads_valid: TileTest,
+    /// Tile-space test: every dependency neighbour `t + δ` is in the tile
+    /// space (the fast path of [`Tiling::dep_total`]).
+    deps_inside: TileTest,
 }
 
 impl Tiling {
@@ -495,6 +532,42 @@ impl Tiling {
             validity_per_template.push(idxs);
         }
 
+        // --- Whole-tile tests over the tile space -----------------------
+        // A row `a·i + b·t + c >= 0` holds on the whole box
+        // `0 <= i_k <= w_k - 1` iff it holds at its minimum there,
+        // `b·t + c + Σ_k min(0, a_k)(w_k - 1)`: a row in `t` (and the
+        // parameters) alone. The box lies in the local space iff every
+        // local row holds at its minimum — exactly the 2^d-corner test,
+        // without the corners.
+        let box_min = |row: &LinExpr| -> LinExpr {
+            let mut out = row.clone();
+            let mut shift = 0i128;
+            for k in 0..d {
+                shift += row.coeff(i_cols[k]).min(0) * (widths[k] as i128 - 1);
+                out.set_coeff(i_cols[k], 0);
+            }
+            out.set_constant(out.constant_term() + shift);
+            out
+        };
+        let full = TileTest::new(local_system.constraints().iter().map(|c| box_min(c.expr())));
+        let reads_valid = TileTest::new(validity_checks.iter().map(box_min));
+        // `t + δ` is in the tile space for every δ iff each tile-space row
+        // holds at its minimum over the dependency offsets.
+        let deps_inside = TileTest::new(tile_system.constraints().iter().map(|c| {
+            let mut row = c.expr().clone();
+            let shift = deps
+                .iter()
+                .map(|dep| {
+                    (0..d)
+                        .map(|k| row.coeff(t_cols[k]) * dep.delta[k] as i128)
+                        .sum::<i128>()
+                })
+                .min()
+                .unwrap_or(0);
+            row.set_constant(row.constant_term() + shift);
+            row
+        }));
+
         Ok(Tiling {
             original,
             templates,
@@ -520,6 +593,9 @@ impl Tiling {
                 None => TileShape::Dense,
             },
             band_dims: band.map(|(a, b, _, _)| (a, b)),
+            full,
+            reads_valid,
+            deps_inside,
         })
     }
 
@@ -684,7 +760,15 @@ impl Tiling {
 
     /// Number of tile dependencies of `tile` that point to valid tiles —
     /// the count the scheduler waits for before executing it.
+    ///
+    /// Tiles whose every neighbour is in the tile space (all but the
+    /// tile-space boundary) are answered by one tile-space test instead of
+    /// one membership test per dependency.
     pub fn dep_total(&self, tile: &Coord, point: &mut [i128]) -> usize {
+        self.set_tile(tile, point);
+        if self.deps_inside.holds(point) {
+            return self.deps.len();
+        }
         self.deps
             .iter()
             .filter(|dep| {
@@ -706,31 +790,21 @@ impl Tiling {
     /// lie inside the iteration space?
     ///
     /// Equivalent to `tile_cell_count(tile, point) == widths.iter().product()`
-    /// but costs `2^d` constraint evaluations instead of an Ehrhart count:
-    /// the local system is an intersection of half-spaces, each affine in
-    /// the local indices once the tile and parameters are fixed, and an
-    /// affine function attains its minimum over a box at a corner — so the
-    /// box is inside iff all `2^d` corners are.
+    /// but costs one affine evaluation per local-system row: each row,
+    /// affine in the local indices once the tile and parameters are fixed,
+    /// is replaced at derivation time by its minimum over the box — a row
+    /// in the tile indices alone — so the box is inside iff every such row
+    /// holds.
     pub fn tile_is_full(&self, tile: &Coord, point: &mut [i128]) -> bool {
         self.set_tile(tile, point);
-        let d = self.dims();
-        for mask in 0..(1usize << d) {
-            for k in 0..d {
-                point[self.i_cols[k]] = if mask & (1 << k) != 0 {
-                    self.widths[k] as i128 - 1
-                } else {
-                    0
-                };
-            }
-            let inside = self
-                .local_system
-                .contains(point)
-                .expect("tile corner evaluation failed");
-            if !inside {
-                return false;
-            }
-        }
-        true
+        self.full.holds(point)
+    }
+
+    /// Is the tile set in `point` *interior*: full, with every validity
+    /// check holding in every cell, so every template read of every cell is
+    /// valid? Such tiles scan as fixed rows ([`Tiling::scan_tile_runs`]).
+    fn interior_at(&self, point: &[i128]) -> bool {
+        self.full.holds(point) && self.reads_valid.holds(point)
     }
 
     /// Total number of cells in the whole iteration space (original space;
@@ -825,6 +899,12 @@ impl Tiling {
     /// geometry precomputed ([`RunCtx`]). Run-batched kernels hang off this
     /// entry point; replaying every run through [`RunCtx::for_each_cell`]
     /// reproduces `scan_tile_fast`'s exact per-cell sequence.
+    ///
+    /// Interior tiles — full, with every validity check holding in every
+    /// cell, decided by one tile-space test — skip the polyhedral walk:
+    /// their nest bounds are the box and every row is one whole run, so
+    /// they are scanned as fixed rows of the full inner width with no
+    /// bound or check evaluation ([`ScanCounts::interior_tile`]).
     pub fn scan_tile_runs<V: TileVisitor>(
         &self,
         tile: &Coord,
@@ -836,6 +916,9 @@ impl Tiling {
         let checks = &self.validity_checks;
         assert!(ntemplates <= MAX_CHECKS, "too many templates");
         assert!(checks.len() <= MAX_CHECKS, "too many validity checks");
+        if self.interior_at(point) {
+            return Ok(self.scan_fixed_rows(tile, visitor));
+        }
         if !self.local_nest.context_holds(point)? {
             return Ok(ScanCounts::default());
         }
@@ -863,6 +946,71 @@ impl Tiling {
         scan.walk(0, point)?;
         Ok(scan.counts)
     }
+
+    /// The interior-tile scan: the box walked in `loop_order`, each level
+    /// in its `local_desc` direction, one full-width [`RunCtx`] per
+    /// innermost row. For an interior tile this is the polyhedral walk's
+    /// exact run sequence: every level's bounds are `[0, w_k - 1]` (the
+    /// local space restricted to the tile is the box, and a box's
+    /// projections are boxes), and every row's all-valid interval is the
+    /// whole row.
+    fn scan_fixed_rows<V: TileVisitor>(&self, tile: &Coord, visitor: &mut V) -> ScanCounts {
+        let d = self.dims();
+        let order = &self.loop_order;
+        let desc = &self.local_desc;
+        let widths = &self.widths;
+        let offsets = self.layout.template_offsets();
+        let inner_dim = order[d - 1];
+        let (x_step, loc_step) = if desc[d - 1] {
+            (-1, -self.layout.strides()[inner_dim])
+        } else {
+            (1, self.layout.strides()[inner_dim])
+        };
+        let first = |lvl: usize| if desc[lvl] { widths[order[lvl]] - 1 } else { 0 };
+        let mut local = [0i64; MAX_DIMS];
+        let mut x = [0i64; MAX_DIMS];
+        for (lvl, &k) in order.iter().enumerate() {
+            local[k] = first(lvl);
+            x[k] = local[k] + widths[k] * tile[k];
+        }
+        let len = widths[inner_dim] as usize;
+        let mut rows = 0u64;
+        loop {
+            visitor.run(RunCtx {
+                loc: self.layout.loc(&local[..d]),
+                loc_step,
+                len,
+                x: &x[..d],
+                local: &local[..d],
+                inner_dim,
+                x_step,
+                offsets,
+            });
+            rows += 1;
+            // Odometer over the outer levels, innermost first.
+            let mut lvl = d - 1;
+            loop {
+                if lvl == 0 {
+                    return ScanCounts {
+                        interior_cells: rows * len as u64,
+                        boundary_cells: 0,
+                        interior_runs: rows,
+                        interior_tile: true,
+                    };
+                }
+                lvl -= 1;
+                let k = order[lvl];
+                let step = if desc[lvl] { -1 } else { 1 };
+                if local[k] != first(lvl) + step * (widths[k] - 1) {
+                    local[k] += step;
+                    x[k] += step;
+                    break;
+                }
+                local[k] = first(lvl);
+                x[k] = local[k] + widths[k] * tile[k];
+            }
+        }
+    }
 }
 
 /// Cell counters reported by [`Tiling::scan_tile_fast`].
@@ -878,6 +1026,9 @@ pub struct ScanCounts {
     /// Number of interior runs (each covering `>= 1` interior cells); the
     /// mean run length is `interior_cells / interior_runs`.
     pub interior_runs: u64,
+    /// The tile was interior (see [`Tiling::scan_tile_runs`]) and scanned
+    /// as fixed rows, with no polyhedral bound or check evaluation.
+    pub interior_tile: bool,
 }
 
 impl ScanCounts {
@@ -1517,7 +1668,7 @@ mod tests {
 
         /// Across the same randomized problem family: the run visitor's
         /// runs exactly partition the all-valid interior reported by
-        /// `ScanCounts`, and the `2^d`-corner fullness test agrees with the
+        /// `ScanCounts`, and the half-space fullness test agrees with the
         /// exact Ehrhart cell count on every tile.
         #[test]
         fn runs_partition_and_corner_test_equivalence(
@@ -1561,6 +1712,183 @@ mod tests {
                 let exact = tiling.tile_cell_count(t, &mut p) == full;
                 let mut p = tiling.make_point(&[n]);
                 prop_assert_eq!(tiling.tile_is_full(t, &mut p), exact);
+            }
+        }
+    }
+
+    /// A random 2-D tiling over the square `0 <= x, y <= N`: an optional
+    /// half-plane cut, templates whose components take the sign `signs`
+    /// per dimension (negative templates included), an optional diagonal
+    /// band `|x - y| <= band - 1` (`band == 0`: dense), and either loop
+    /// order. `None` when every template is zero.
+    fn random_tiling(
+        widths: (i64, i64),
+        comps: &[(i64, i64)],
+        cut: (i64, i64, i64),
+        signs: (bool, bool),
+        band: i64,
+        swap: bool,
+    ) -> Option<Tiling> {
+        let sign = |neg: bool, v: i64| if neg { -v } else { v };
+        let templates: Vec<Template> = comps
+            .iter()
+            .enumerate()
+            .filter(|(_, &(a, b))| a != 0 || b != 0)
+            .map(|(i, &(a, b))| {
+                Template::new(format!("t{i}"), &[sign(signs.0, a), sign(signs.1, b)])
+            })
+            .collect();
+        if templates.is_empty() {
+            return None;
+        }
+        let space = Space::from_names(&["x", "y"], &["N"]).unwrap();
+        let mut sys = ConstraintSystem::new(space);
+        sys.add_text("0 <= x <= N").unwrap();
+        sys.add_text("0 <= y <= N").unwrap();
+        let (a, b, extra) = cut;
+        if a + b > 0 {
+            sys.add_text(&format!("{a}*x + {b}*y <= {}*N", a + b + extra))
+                .unwrap();
+        }
+        let set = TemplateSet::new(2, templates).unwrap();
+        let mut builder = TilingBuilder::new(sys, set, vec![widths.0, widths.1]);
+        if band > 0 {
+            builder = builder.band(0, 1, 1 - band, band - 1);
+        }
+        if swap {
+            builder = builder.loop_order(vec![1, 0]);
+        }
+        Some(builder.build().unwrap())
+    }
+
+    /// Every tile of the tile space plus its eight neighbours, so tiles
+    /// outside the space are tested too.
+    fn tiles_and_neighbours(tiling: &Tiling, params: &[i64]) -> Vec<Coord> {
+        let mut point = tiling.make_point(params);
+        let mut tiles = std::collections::BTreeSet::new();
+        tiling.for_each_tile(&mut point, |t| {
+            for dx in -1..=1 {
+                for dy in -1..=1 {
+                    tiles.insert((t[0] + dx, t[1] + dy));
+                }
+            }
+        });
+        tiles
+            .into_iter()
+            .map(|(a, b)| Coord::from_slice(&[a, b]))
+            .collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// The tile-space tests against their definitions, over random
+        /// tilings (banded, negative-template and reordered ones included):
+        /// `tile_is_full` is `tile_cell_count == Π w`; the interior test
+        /// is full with every reference-scan validity flag true, and such
+        /// tiles' fixed-row scans replay `scan_tile`'s exact
+        /// `(loc, x, local, valid)` sequence; and `dep_total` counts the
+        /// neighbours `tile_in_space` admits.
+        #[test]
+        fn tile_space_tests_match_their_definitions(
+            n in 2i64..14,
+            widths in (1i64..6, 1i64..6),
+            comps in proptest::collection::vec((0i64..3, 0i64..3), 1..4),
+            cut in (0i64..3, 0i64..3, 0i64..3),
+            signs in (proptest::bool::ANY, proptest::bool::ANY),
+            band in 0i64..6,
+            swap in proptest::bool::ANY,
+        ) {
+            use proptest::prelude::*;
+            let Some(tiling) = random_tiling(widths, &comps, cut, signs, band, swap) else {
+                return Ok(());
+            };
+            let full_cells = (widths.0 * widths.1) as u128;
+            let mut point = tiling.make_point(&[n]);
+            for t in tiles_and_neighbours(&tiling, &[n]) {
+                let full = tiling.tile_is_full(&t, &mut point);
+                prop_assert_eq!(full, tiling.tile_cell_count(&t, &mut point) == full_cells);
+                let mut slow: Vec<Visit> = Vec::new();
+                tiling
+                    .scan_tile(&t, &mut point, |c| {
+                        slow.push((c.loc, c.x.to_vec(), c.local.to_vec(), c.valid.to_vec()));
+                    })
+                    .unwrap();
+                let all_valid = slow.iter().all(|v| v.3.iter().all(|&ok| ok));
+                tiling.set_tile(&t, &mut point);
+                let interior = tiling.interior_at(&point);
+                prop_assert_eq!(interior, full && all_valid, "tile {:?}", t);
+                let mut fast: Vec<Visit> = Vec::new();
+                let counts = tiling
+                    .scan_tile_fast(&t, &mut point, |c| {
+                        fast.push((c.loc, c.x.to_vec(), c.local.to_vec(), c.valid.to_vec()));
+                    })
+                    .unwrap();
+                prop_assert_eq!(&fast, &slow, "tile {:?}", t);
+                prop_assert_eq!(counts.interior_tile, interior);
+                if interior {
+                    prop_assert_eq!(counts.boundary_cells, 0);
+                    prop_assert_eq!(counts.interior_cells as u128, full_cells);
+                }
+                let inside = tiling
+                    .deps()
+                    .iter()
+                    .filter(|dep| tiling.tile_in_space(&t.add(&dep.delta), &mut point))
+                    .count();
+                prop_assert_eq!(tiling.dep_total(&t, &mut point), inside);
+            }
+        }
+
+        /// For every full source tile and every edge, the box walk packs
+        /// the sequence `EdgeLayout::for_each_cell` packs, and unpacking
+        /// writes the same ghost cells with the same values, reporting
+        /// their extreme buffer indices.
+        #[test]
+        fn full_source_box_walks_match_the_edge_nests(
+            n in 2i64..14,
+            widths in (1i64..6, 1i64..6),
+            comps in proptest::collection::vec((0i64..4, 0i64..4), 1..4),
+            cut in (0i64..3, 0i64..3, 0i64..3),
+            signs in (proptest::bool::ANY, proptest::bool::ANY),
+            band in 0i64..6,
+            swap in proptest::bool::ANY,
+        ) {
+            use proptest::prelude::*;
+            let Some(tiling) = random_tiling(widths, &comps, cut, signs, band, swap) else {
+                return Ok(());
+            };
+            let layout = tiling.layout();
+            // Each buffer cell holds its own index, so a payload spells
+            // out the locations it was gathered from.
+            let values: Vec<usize> = (0..layout.size()).collect();
+            let mut point = tiling.make_point(&[n]);
+            for t in tiles_and_neighbours(&tiling, &[n]) {
+                if !tiling.tile_is_full(&t, &mut point) {
+                    continue;
+                }
+                for edge in tiling.edges() {
+                    let mut nest = Vec::new();
+                    let mut ghosts = Vec::new();
+                    tiling.set_tile(&t, &mut point);
+                    edge.for_each_cell(&mut point, |j| {
+                        nest.push(values[layout.loc(j)]);
+                        ghosts.push(layout.loc_ghost(j, &edge.delta));
+                    })
+                    .unwrap();
+                    let mut walk = Vec::new();
+                    edge.pack_box(layout, &values, &mut walk);
+                    prop_assert_eq!(&walk, &nest, "tile {:?} edge {:?}", t, edge.delta);
+                    prop_assert_eq!(walk.len(), edge.box_cells());
+                    let mut expect = vec![usize::MAX; layout.size()];
+                    for (k, &g) in ghosts.iter().enumerate() {
+                        expect[g] = walk[k];
+                    }
+                    let mut got = vec![usize::MAX; layout.size()];
+                    let (lo, hi) = edge.unpack_box(layout, &walk, &mut got);
+                    prop_assert_eq!(&got, &expect);
+                    prop_assert_eq!(lo, *ghosts.iter().min().unwrap());
+                    prop_assert_eq!(hi, *ghosts.iter().max().unwrap());
+                }
             }
         }
     }

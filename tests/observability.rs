@@ -185,3 +185,72 @@ fn builder_matches_compiled_plan_bit_identically() {
         }
     }
 }
+
+/// On an LCS lattice that the tiles cover exactly (every tile full, as
+/// in the `lcs_w48` benchmark), the runtime scans as fixed rows exactly
+/// the tiles whose polyhedral scan has no boundary cell, and every edge
+/// is packed and unpacked by a box walk — counted in `RunStats` and
+/// exported through the metrics registry.
+#[test]
+fn interior_tiles_and_box_walked_edges_are_counted_exactly() {
+    use dpgen::core::ExecOpts;
+    use dpgen::runtime::RunStats;
+    // 48 x 64 cells in 8 x 8 tiles.
+    let a = random_sequence(47, 73);
+    let b = random_sequence(63, 74);
+    let problem = Lcs::new(&[&a, &b]);
+    let params = problem.params();
+    let plan = Lcs::program(2, 8).unwrap().compile(&params);
+    let tiling = plan.tiling();
+    let mut point = tiling.make_point(&params);
+    let mut tiles = Vec::new();
+    tiling.for_each_tile(&mut point, |t| tiles.push(t));
+    assert!(tiles.iter().all(|t| tiling.tile_is_full(t, &mut point)));
+    let clean = tiles
+        .iter()
+        .filter(|t| {
+            let mut clean = true;
+            tiling
+                .scan_tile(t, &mut point, |c| clean &= c.valid.iter().all(|&v| v))
+                .unwrap();
+            clean
+        })
+        .count() as u64;
+    assert!(
+        clean > 0 && clean < tiles.len() as u64,
+        "{clean} clean tiles"
+    );
+
+    for (threads, ranks) in [(1usize, 1usize), (2, 1), (2, 2)] {
+        for batched in [false, true] {
+            let opts = ExecOpts::new()
+                .threads(threads)
+                .ranks(ranks)
+                .probe(Probe::at(&problem.goal()));
+            let out = if batched {
+                plan.execute_batched::<i64, _>(&problem, &opts)
+            } else {
+                plan.execute::<i64, _>(&problem, &opts)
+            }
+            .unwrap();
+            assert_eq!(out.probes[0], Some(problem.solve_dense()));
+            let sum =
+                |f: fn(&RunStats) -> u64| -> u64 { out.per_rank.iter().map(|r| f(&r.stats)).sum() };
+            let at = format!("threads={threads} ranks={ranks} batched={batched}");
+            assert_eq!(sum(|s| s.tiles_interior), clean, "{at}");
+            let edges = sum(|s| s.edges_local + s.edges_remote);
+            assert!(edges > 0);
+            assert_eq!(sum(|s| s.edges_box_packed), edges, "{at}");
+            assert_eq!(sum(|s| s.edges_box_unpacked), edges, "{at}");
+            for (rank, r) in out.per_rank.iter().enumerate() {
+                let counter = |name: &str| out.metrics.counter(&format!("rank{rank}.{name}"));
+                assert_eq!(counter("tiles_interior"), Some(r.stats.tiles_interior));
+                assert_eq!(counter("edges_box_packed"), Some(r.stats.edges_box_packed));
+                assert_eq!(
+                    counter("edges_box_unpacked"),
+                    Some(r.stats.edges_box_unpacked)
+                );
+            }
+        }
+    }
+}

@@ -176,3 +176,23 @@ fn engine_jobs_sharing_a_cached_plan_agree_with_the_reference() {
     assert_eq!(engine.cache().misses(), 1);
     assert_eq!(engine.cache().hits(), 7);
 }
+
+/// Re-executing one plan reuses its tile buffers across executions: 40
+/// runs of a 2-thread plan allocate no tile buffer after the first.
+#[test]
+fn re_executions_allocate_no_new_tile_buffers() {
+    let (problem, program) = lcs_fixture();
+    let plan = program.compile(&problem.params());
+    let opts = ExecOpts::new().threads(2).probe(Probe::at(&problem.goal()));
+    let want = problem.solve_dense();
+    let mut allocated = Vec::new();
+    for _ in 0..40 {
+        let out = plan.execute::<i64, _>(&problem, &opts).unwrap();
+        assert_eq!(out.probes[0], Some(want));
+        allocated.push(out.per_rank[0].stats.tile_buffers_allocated);
+    }
+    // One buffer per worker that ran a tile, ever: a worker that sits out
+    // the first run may allocate its buffer later, never a second one.
+    assert!(allocated[0] >= 1, "{allocated:?}");
+    assert!(allocated.iter().sum::<u64>() <= 2, "{allocated:?}");
+}
